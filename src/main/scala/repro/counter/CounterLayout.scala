@@ -32,9 +32,12 @@ final class CounterLayout private (
   def parentCounter(i: Int, parentCode: Int): Int = parentOffset(i) + parentCode
 
   /** Apply `f` to the (childCounterId, parentCounterId) pair of every family
-    * event in the full assignment `x` — the per-event update loop.
+    * event in the full assignment `x` — the per-event update loop. Rejects an
+    * assignment of the wrong length or with a value outside its domain,
+    * which would otherwise land in another variable's counters.
     */
   @inline def foreachFamily(x: Array[Int])(f: (Int, Int) => Unit): Unit = {
+    requireAssignment(x)
     var i = 0
     while (i < net.n) {
       val u = net.parentCode(i, x)
@@ -43,22 +46,36 @@ final class CounterLayout private (
     }
   }
 
-  // Scratch set reused across events when deduplicating shared counters.
-  @transient private lazy val seen = new java.util.HashSet[Integer]()
+  // A branch-free pass of its own, with the message built elsewhere: checks
+  // inside the family loop measurably slowed the sequential driver, whose JIT
+  // inlining is sensitive to the loop's size.
+  private def requireAssignment(x: Array[Int]): Unit = {
+    if (x.length != net.n) rejectAssignment(x)
+    // Negative exactly when some x(i) < 0 or x(i) > card(i) - 1.
+    var bad = 0
+    var i = 0
+    while (i < x.length) { bad |= x(i) | (net.card(i) - 1 - x(i)); i += 1 }
+    if (bad < 0) rejectAssignment(x)
+  }
+
+  private def rejectAssignment(x: Array[Int]): Unit = {
+    require(x.length == net.n, s"assignment has ${x.length} values, expected ${net.n}")
+    for (i <- 0 until net.n)
+      require(x(i) >= 0 && x(i) < net.card(i), s"x($i) = ${x(i)} is outside [0, ${net.card(i)})")
+  }
 
   /** Invoke `inc` exactly once per distinct counter the event touches.
     * In the standard layout every family contributes two distinct counters;
     * in a shared layout (Naïve Bayes) the shared block is incremented once
-    * per event — Algorithm 4 maintains "only one copy of the counter".
+    * per event — Algorithm 4 maintains "only one copy of the counter". The
+    * shared block is the root's child block, which family 0 increments
+    * first, so every later family skips it as its parent counter.
     */
   def foreachUpdate(x: Array[Int])(inc: Int => Unit): Unit =
     if (!sharedParents) foreachFamily(x)((c, p) => { inc(c); inc(p) })
-    else {
-      seen.clear()
-      foreachFamily(x) { (c, p) =>
-        if (seen.add(c)) inc(c)
-        if (seen.add(p)) inc(p)
-      }
+    else foreachFamily(x) { (c, p) =>
+      inc(c)
+      if (p < childOffset(0) || p >= childOffset(0) + net.card(0)) inc(p)
     }
 
   /** Number of distinct counters one event increments (2n for standard). */

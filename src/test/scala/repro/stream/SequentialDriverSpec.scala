@@ -1,7 +1,7 @@
 package repro.stream
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bn.{ForwardSampler, TestNets}
+import repro.bn.{Event, ForwardSampler, TestNets}
 import repro.core.{BNModel, EpsilonAllocation}
 import repro.counter.{CounterLayout, DistCounterBank, ExactCounterBank}
 
@@ -142,5 +142,13 @@ class SequentialDriverSpec extends AnyFunSuite {
     // for n = 3: eps/(3n) = eps/9 < eps/(16·√3) = eps/27.7 is FALSE — baseline is looser here;
     // the crossover n ≈ 28.4 is covered in EpsilonAllocationSpec. Just sanity-order them.
     assert(base.nu(0) > unif.nu(0))
+  }
+
+  test("out-of-domain values and wrong-length assignments fail loudly") {
+    for (x <- Seq(Array(0, 3, 0), Array(-1, 0, 0), Array(0, 1), Array(0, 1, 0, 0))) {
+      val bank = new ExactCounterBank(layout.numCounters)
+      val events = Iterator(Event(0L, 0, Array(1, 2, 1)), Event(1L, 1, x))
+      intercept[IllegalArgumentException](SequentialDriver.run(layout, bank, events))
+    }
   }
 }
