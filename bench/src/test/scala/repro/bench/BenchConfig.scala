@@ -1,33 +1,13 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.{DatasetResult, Networks, Tables}
+import repro.eval.DatasetResult
 import repro.jobs.Table2And3
 
-/** Bench-wide configuration and the shared Table 2/3 result grid.
-  *
-  * Defaults reproduce the paper's setting (m = 50K, k = 30, ε = 0.1, 1000
-  * tests; medians over REPRO_RUNS runs). The grid is computed once per JVM
-  * and shared by Table2Bench and Table3Bench; `sbt "bench/test"` therefore
-  * pays for the expensive runs exactly once.
+/** The shared Table 2/3 result grid, computed once per JVM for Table2Bench
+  * and Table3Bench; `sbt "bench/test"` therefore pays for the expensive
+  * runs exactly once. Its scale comes from `repro.jobs.JobSession`.
   */
 object BenchConfig {
-  def m: Long = sys.env.getOrElse("REPRO_M", "50000").toLong
-  def k: Int = sys.env.getOrElse("REPRO_K", "30").toInt
-  def eps: Double = sys.env.getOrElse("REPRO_EPS", "0.1").toDouble
-  def nTests: Int = sys.env.getOrElse("REPRO_TESTS", "1000").toInt
-  def runs: Int = sys.env.getOrElse("REPRO_RUNS", "3").toInt
-  def seed: Long = sys.env.getOrElse("REPRO_SEED", "42").toLong
-  def pScale: Option[Double] = sys.env.get("REPRO_PSCALE").map(_.toDouble)
-
-  lazy val grid: Seq[DatasetResult] = Networks.all.map { net =>
-    val t0 = System.nanoTime()
-    val r = Tables.runDataset(SparkSpec.shared, net, m, k, eps, seed, nTests, runs, pScale)
-    Console.err.println(f"[bench] ${net.name} done in ${(System.nanoTime() - t0) / 1e9}%.1f s")
-    r
-  }
-
-  /** Paper references re-exported for the bench suites. */
-  def paperClsErr: Map[String, Seq[Double]] = Table2And3.paperClsErr
-  def paperComm: Map[String, Seq[Long]] = Table2And3.paperComm
+  lazy val grid: Seq[DatasetResult] = Table2And3.runAll(SparkSpec.shared)
 }

@@ -1,8 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.Networks
-import repro.jobs.CommSweep
+import repro.eval.{Networks, Tables}
+import repro.jobs.{CommSweep, JobSession}
 
 /** Figure 9's shape: communication vs stream length on ALARM. EXACTMLE is
   * linear in m; the approximate algorithms turn logarithmic once counters
@@ -10,19 +10,15 @@ import repro.jobs.CommSweep
   */
 class CommSweepBench extends AnyFunSuite {
 
-  private val ms: Seq[Long] = sys.env.getOrElse("REPRO_SWEEP_MS", "10000,50000,250000,1000000,4000000")
-    .split(",").map(_.trim.toLong).toSeq
-
   test("communication vs training points on ALARM (Figure 9 shape)") {
-    val rows = CommSweep.sweep(Networks.alarm, ms, BenchConfig.k, BenchConfig.eps,
-      BenchConfig.seed, BenchConfig.pScale)
-    println(repro.eval.Tables.render(
-      s"Communication vs m (alarm, k=${BenchConfig.k}, eps=${BenchConfig.eps})",
-      Seq("algorithm") ++ ms.map(m => s"m=$m"), rows))
+    val ms = JobSession.sweepMs
+    val sweep = Tables.messageSweep(Networks.alarm, ms, JobSession.k, JobSession.eps,
+      JobSession.seed, JobSession.pScale)
+    println(CommSweep.render(Networks.alarm, JobSession.k, JobSession.eps, ms, sweep))
 
-    def row(name: String): Seq[Long] = rows.find(_.head == name).get.tail.map(_.toLong)
-    val exact = row("exactmle")
-    val nonuni = row("nonuniform")
+    val byAlgo = sweep.toMap
+    val exact = byAlgo("exactmle")
+    val nonuni = byAlgo("nonuniform")
     // exact is exactly linear
     assert(exact.last.toDouble / exact.head == ms.last.toDouble / ms.head)
     // The log-vs-linear separation needs counters to be well past their

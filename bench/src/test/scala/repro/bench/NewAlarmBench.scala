@@ -1,10 +1,10 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bn.ForwardSampler
-import repro.counter.{Coordinator, CounterLayout, DistCounterBank}
+import repro.core.EpsilonAllocation
+import repro.counter.Coordinator
 import repro.eval.{Networks, Tables}
-import repro.stream.SequentialDriver
+import repro.jobs.JobSession
 
 /** Figure 11(b): UNIFORM vs NONUNIFORM communication on the semi-synthetic
   * NEW-ALARM network (6 variables widened to cardinality 20). The paper
@@ -21,43 +21,30 @@ import repro.stream.SequentialDriver
   */
 class NewAlarmBench extends AnyFunSuite {
 
-  private val m: Long = sys.env.getOrElse("REPRO_NEWALARM_M", "2000000").toLong
+  private val m: Long = JobSession.newAlarmM
   private val net = Networks.newAlarm
-  private val layout = CounterLayout.standard(net)
-  private val k = BenchConfig.k
+  private val k = JobSession.k
 
+  /** Messages per algorithm (EXACTMLE included) after m events. */
   private def run(scale: Double, m: Long): Map[String, Long] =
-    Tables.allocations(BenchConfig.eps, net).map { alloc =>
-      val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout),
-        BenchConfig.seed, scale)
-      alloc.name -> SequentialDriver.run(layout, bank,
-        ForwardSampler.localEvents(net, m, k, BenchConfig.seed)).last.messages
-    }.toMap
+    Tables.messageSweep(net, Seq(m), k, JobSession.eps, JobSession.seed, Some(scale))
+      .map { case (algo, msgs) => algo -> msgs.head }.toMap
 
-  private def show(title: String, msgs: Map[String, Long], m: Long): Unit = {
-    val exact = layout.updatesPerEvent.toLong * m
+  private def show(title: String, msgs: Map[String, Long]): Unit = {
+    val exact = msgs("exactmle")
     println(Tables.render(title,
       Seq("algorithm", "messages", "vs exactmle"),
       Seq(Seq("exactmle", exact.toString, "1.000")) ++
         Seq("baseline", "uniform", "nonuniform").map(a =>
           Seq(a, msgs(a).toString, f"${msgs(a).toDouble / exact}%.3f"))))
+    val model = EpsilonAllocation.modelRatio(net.card, net.parentCard)
     println(f"nonuniform/uniform = ${msgs("nonuniform").toDouble / msgs("uniform")}%.3f " +
-      s"(asymptotic model ${f"$modelRatio%.3f"}; paper ~0.65)")
-  }
-
-  /** Asymptotic cost-model ratio (Σ(JK)^{2/3})^{3/2}-style, both counter kinds. */
-  private def modelRatio: Double = {
-    val jk = (0 until net.n).map(i => net.card(i).toDouble * net.parentCard(i))
-    val ks = (0 until net.n).map(i => net.parentCard(i).toDouble)
-    val uni = 16 * math.sqrt(net.n.toDouble) * (jk.sum + ks.sum)
-    val non = 16 * (math.pow(jk.map(math.pow(_, 2.0 / 3)).sum, 1.5) +
-      math.pow(ks.map(math.pow(_, 2.0 / 3)).sum, 1.5))
-    non / uni
+      f"(asymptotic model $model%.3f; paper ~0.65)")
   }
 
   test("NEW-ALARM calibrated profile: nonuniform beats uniform (Figure 11b shape)") {
     val msgs = run(scale = 0.05, m)
-    show(s"NEW-ALARM, calibrated counter profile (pScale=0.05), m=$m", msgs, m)
+    show(s"NEW-ALARM, calibrated counter profile (pScale=0.05), m=$m", msgs)
     // The ordering needs counters deep in the probabilistic regime.
     if (m >= 1000000L) {
       assert(msgs("nonuniform") < msgs("uniform"),
@@ -68,7 +55,7 @@ class NewAlarmBench extends AnyFunSuite {
   test("NEW-ALARM variance-honoring profile (informational)") {
     val mSmall = math.min(m, 50000L)
     val msgs = run(Coordinator.theoryScale(k), mSmall)
-    show(s"NEW-ALARM, variance-honoring profile (pScale=sqrt(2k)), m=$mSmall", msgs, mSmall)
-    msgs.values.foreach(v => assert(v <= layout.updatesPerEvent.toLong * mSmall))
+    show(s"NEW-ALARM, variance-honoring profile (pScale=sqrt(2k)), m=$mSmall", msgs)
+    msgs.values.foreach(v => assert(v <= msgs("exactmle")))
   }
 }

@@ -1,7 +1,9 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.jobs.Table2And3
+import repro.SparkSpec
+import repro.eval.{Networks, Tables}
+import repro.jobs.{JobSession, Table2And3}
 
 /** Paper Table 3: communication cost (messages) to learn the classifier.
   *
@@ -17,8 +19,8 @@ class Table3Bench extends AnyFunSuite {
     println(Table2And3.renderTable3(grid))
     println(Table2And3.renderErrors(grid))
     for (r <- grid) {
-      if (BenchConfig.m == 50000L) {
-        assert(r("exactmle").messages == BenchConfig.paperComm(r.dataset).head,
+      if (JobSession.m == 50000L) {
+        assert(r("exactmle").messages == Table2And3.paperComm(r.dataset).head,
           s"${r.dataset} exactmle should equal the paper's 2·n·m")
       }
       val exact = r("exactmle").messages
@@ -35,19 +37,19 @@ class Table3Bench extends AnyFunSuite {
   test("Table 3 companion: calibrated counter profile (pScale=0.05)") {
     // Same grid, counters in the probabilistic regime the paper's
     // implementation operates in (communication only; see EXPERIMENTS.md).
-    val grids = repro.eval.Networks.all.map { net =>
-      net.name -> repro.eval.Tables.commOnly(net, BenchConfig.m, BenchConfig.k,
-        BenchConfig.eps, BenchConfig.seed, pScale = 0.05)
+    val grids = Networks.all.map { net =>
+      net.name -> Tables.messageSweep(net, Seq(JobSession.m), JobSession.k, JobSession.eps,
+        JobSession.seed, pScale = Some(0.05)).map { case (algo, msgs) => algo -> msgs.head }.toMap
     }.toMap
-    val rows = repro.eval.Networks.all.flatMap { net =>
+    val rows = Networks.all.flatMap { net =>
       Seq(
-        Seq(net.name, "paper") ++ BenchConfig.paperComm(net.name).map(_.toString),
-        Seq(net.name, "ours") ++ repro.eval.Tables.algoNames.map(a => grids(net.name)(a).toString),
+        Seq(net.name, "paper") ++ Table2And3.paperComm(net.name).map(_.toString),
+        Seq(net.name, "ours") ++ Tables.algoNames.map(a => grids(net.name)(a).toString),
       )
     }
-    println(repro.eval.Tables.render(
+    println(Tables.render(
       "Table 3 (calibrated profile): communication cost (messages)",
-      Seq("dataset", "source") ++ repro.eval.Tables.algoNames, rows))
+      Seq("dataset", "source") ++ Tables.algoNames, rows))
     // The ALARM-family magnitudes should land in the paper's regime:
     // approximate algorithms an order of magnitude below EXACTMLE.
     val alarmOurs = grids("alarm")
@@ -57,13 +59,13 @@ class Table3Bench extends AnyFunSuite {
     // Accuracy price of the calibrated profile (ALARM, one run): the
     // counters trade the Lemma 4 variance bound for communication, so the
     // error vs the exact MLE grows — report it next to the savings.
-    val acc = repro.eval.Tables.runDataset(repro.SparkSpec.shared, repro.eval.Networks.alarm,
-      BenchConfig.m, BenchConfig.k, BenchConfig.eps, BenchConfig.seed,
+    val acc = Tables.runDataset(SparkSpec.shared, Networks.alarm,
+      JobSession.m, JobSession.k, JobSession.eps, JobSession.seed,
       nTests = 500, runs = 1, pScale = Some(0.05))
-    println(repro.eval.Tables.render(
+    println(Tables.render(
       "Calibrated-profile accuracy on ALARM (mean relative error of test events)",
       Seq("algorithm", "vs-truth", "vs-mle", "cls-err"),
-      repro.eval.Tables.algoNames.map(a =>
+      Tables.algoNames.map(a =>
         Seq(a, f"${acc(a).errVsTruth}%.4f", f"${acc(a).errVsMle}%.4f", f"${acc(a).clsErr}%.3f"))))
   }
 }

@@ -1,43 +1,27 @@
 package repro.jobs
 
-import repro.bn.{BayesianNetwork, ForwardSampler}
-import repro.core.EpsilonAllocation
-import repro.counter.{CounterLayout, DistCounterBank}
+import repro.bn.BayesianNetwork
 import repro.eval.{Networks, Tables}
-import repro.stream.SequentialDriver
 
-/** Communication cost vs number of training points (Figure 9's shape):
-  * one pass per algorithm over the largest m, with message counts captured
-  * at checkpoints. EXACTMLE grows linearly (2·n·m); the approximate
-  * algorithms grow logarithmically once counters pass their reporting
-  * thresholds.
+/** Communication cost vs number of training points (Figure 9's shape),
+  * rendered from `Tables.messageSweep`: one pass per algorithm over the
+  * largest m, with message counts captured at checkpoints. EXACTMLE grows
+  * linearly (2·n·m); the approximate algorithms grow logarithmically once
+  * counters pass their reporting thresholds.
   */
 object CommSweep {
 
-  def sweep(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double,
-            seed: Long, pScale: Option[Double] = None): Seq[Seq[String]] = {
-    val layout = CounterLayout.standard(net)
-    val scale = pScale.getOrElse(repro.counter.Coordinator.theoryScale(k))
-    val mMax = ms.max
-    val exactRow = Seq("exactmle") ++ ms.map(m => (layout.updatesPerEvent * m).toString)
-    val approxRows = Tables.allocations(eps, net).map { alloc =>
-      val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed, scale)
-      val snaps = SequentialDriver.run(layout, bank,
-        ForwardSampler.localEvents(net, mMax, k, seed), checkpoints = ms)
-      Seq(alloc.name) ++ ms.map(m => snaps.find(_.m == m).get.messages.toString)
-    }
-    exactRow +: approxRows
-  }
-
-  def render(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long): String =
+  def render(net: BayesianNetwork, k: Int, eps: Double, ms: Seq[Long],
+             sweep: Seq[(String, Seq[Long])]): String =
     Tables.render(
-      s"Communication cost vs training points (${net.name}, k=$k, eps=$eps) — Figure 9 shape",
+      s"Communication cost vs training points (${net.name}, k=$k, eps=$eps), Figure 9 shape",
       Seq("algorithm") ++ ms.map(m => s"m=$m"),
-      sweep(net, ms, k, eps, seed))
+      sweep.map { case (algo, msgs) => algo +: msgs.map(_.toString) })
 
   def main(args: Array[String]): Unit = {
-    val ms = sys.env.getOrElse("REPRO_SWEEP_MS", "10000,50000,250000,1000000,5000000")
-      .split(",").map(_.trim.toLong).toSeq
-    println(render(Networks.alarm, ms, JobSession.k, JobSession.eps, JobSession.seed))
+    val net = Networks.alarm
+    val ms = JobSession.sweepMs
+    println(render(net, JobSession.k, JobSession.eps, ms,
+      Tables.messageSweep(net, ms, JobSession.k, JobSession.eps, JobSession.seed, JobSession.pScale)))
   }
 }

@@ -93,4 +93,12 @@ object EpsilonAllocation {
     val b = parentCard.map(k => math.pow(k.toDouble, 2.0 / 3.0)).sum
     math.pow(a, 1.5) + math.pow(b, 1.5)
   }
+
+  /** NONUNIFORM/UNIFORM ratio of the asymptotic communication cost,
+    * Γ / (√n·(ΣJᵢKᵢ + ΣKᵢ)); at most 1 by Hölder's inequality.
+    */
+  def modelRatio(card: Array[Int], parentCard: Array[Int]): Double = {
+    val jk = card.indices.map(i => card(i).toDouble * parentCard(i)).sum
+    gamma(card, parentCard) / (math.sqrt(card.length.toDouble) * (jk + parentCard.map(_.toDouble).sum))
+  }
 }

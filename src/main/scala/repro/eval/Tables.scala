@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.bn.{BayesianNetwork, ForwardSampler}
 import repro.core.{BNModel, EpsilonAllocation, SuffStats}
 import repro.counter.{Coordinator, CounterLayout, DistCounterBank}
-import repro.stream.SequentialDriver
+import repro.stream.{SequentialDriver, Snapshot}
 
 /** One algorithm's outcome on one dataset (one table cell group). */
 final case class AlgoResult(
@@ -70,9 +70,7 @@ object Tables {
 
     val approx = allocations(eps, net).map { alloc =>
       val perRun = (0 until runs).map { r =>
-        val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout),
-          seed + 7919L * (r + 1), scale)
-        val snap = SequentialDriver.run(layout, bank, ForwardSampler.localEvents(net, m, k, seed)).last
+        val snap = protocolPass(net, layout, alloc, m, k, seed, seed + 7919L * (r + 1), scale).last
         val model = snap.model(net, layout)
         (snap.messages, Metrics.classificationError(model, tests),
           Metrics.relErrVsTruth(model, queries), Metrics.relErrVsRef(model, exactModel, queries))
@@ -89,19 +87,34 @@ object Tables {
     DatasetResult(net.name, m, k, eps, exactRes +: approx)
   }
 
-  /** Communication-only run (no model evaluation): message counts of the
-    * three approximate algorithms over one protocol seed, plus EXACTMLE's
-    * analytic `2·n·m`. Used for the calibrated-profile Table 3 companion.
+  /** Communication vs stream length: the messages of every algorithm, in
+    * `algoNames` order, at each checkpoint of `ms`. EXACTMLE is the
+    * analytic `updatesPerEvent · m`; each approximate allocation is one
+    * checkpointed pass over `ms.max` events, its protocol seeded by `seed`.
+    * Figure 9's sweep, Figure 11(b) and the calibrated Table 3 companion
+    * are all calls of this.
     */
-  def commOnly(net: BayesianNetwork, m: Long, k: Int, eps: Double, seed: Long,
-               pScale: Double): Map[String, Long] = {
+  def messageSweep(net: BayesianNetwork, ms: Seq[Long], k: Int, eps: Double, seed: Long,
+                   pScale: Option[Double] = None): Seq[(String, Seq[Long])] = {
+    val scale = pScale.getOrElse(Coordinator.theoryScale(k))
     val layout = CounterLayout.standard(net)
     val approx = allocations(eps, net).map { alloc =>
-      val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), seed, pScale)
-      alloc.name -> SequentialDriver.run(layout, bank,
-        ForwardSampler.localEvents(net, m, k, seed)).last.messages
+      val snaps = protocolPass(net, layout, alloc, ms.max, k, seed, seed, scale, ms)
+      alloc.name -> ms.map(m => snaps.find(_.m == m).get.messages)
     }
-    (("exactmle" -> layout.updatesPerEvent.toLong * m) +: approx).toMap
+    ("exactmle" -> ms.map(layout.updatesPerEvent.toLong * _)) +: approx
+  }
+
+  /** One sequential protocol pass of `alloc` over the first `m` events of
+    * the stream sampled with `streamSeed`, through a fresh bank whose coins
+    * are seeded with `bankSeed`; snapshots at `checkpoints`, or at the end
+    * when there are none.
+    */
+  private def protocolPass(net: BayesianNetwork, layout: CounterLayout, alloc: EpsilonAllocation,
+                           m: Long, k: Int, streamSeed: Long, bankSeed: Long, scale: Double,
+                           checkpoints: Seq[Long] = Seq.empty): Seq[Snapshot] = {
+    val bank = new DistCounterBank(layout.numCounters, k, alloc.epsArray(layout), bankSeed, scale)
+    SequentialDriver.run(layout, bank, ForwardSampler.localEvents(net, m, k, streamSeed), checkpoints)
   }
 
   /** Fixed-width table printer: header row + one line per dataset. */

@@ -1,65 +1,63 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.bn.{ForwardSampler, TestNets}
+import repro.core.SuffStats
 
-/** Exercises the DuckDB oracle against the provided TPC-H-lite generators:
-  * a wrong Spark aggregation or a broken oracle canonicalization would
-  * surface here before it could mask a bug in the paper pipeline.
+/** Exercises the DuckDB oracle on the family rows the paper pipeline
+  * aggregates: a wrong Spark aggregation or a broken oracle
+  * canonicalization would surface here before it could mask a bug in the
+  * pipeline.
   */
 class OracleSpec extends SparkSpec {
+  import spark.implicits._
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.0005, seed = 1L).cache()
-  private lazy val ord = SynthData.orders(spark, sf = 0.0005, seed = 2L).cache()
+  private val net = TestNets.random20
+  private lazy val family = SuffStats.familyRows(spark, net,
+    ForwardSampler.events(spark, net, 300, 4, seed = 1L)).toDF().cache()
+  /** Second table for the join: variable → cardinality. */
+  private lazy val cards = net.card.toSeq.zipWithIndex.map(_.swap).toDF("variable", "card")
 
   test("group-by aggregation matches DuckDB") {
-    val sparkDf = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), sum("l_quantity").as("qty"))
-      .select("l_returnflag", "cnt", "qty")
+    val sparkDf = family.groupBy("i")
+      .agg(count(lit(1)).as("cnt"), sum("v").as("vsum"))
+      .select("i", "cnt", "vsum")
     Oracle.assertEquivalent(sparkDf,
-      """SELECT l_returnflag, count(*) AS cnt, sum(CAST(l_quantity AS DOUBLE)) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT i, count(*) AS cnt, sum(CAST(v AS BIGINT)) AS vsum
+        |FROM family GROUP BY i""".stripMargin,
+      "family" -> family)
   }
 
   test("filtered count matches DuckDB") {
-    val sparkDf = li.filter(col("l_discount") > 0.05)
-      .agg(count(lit(1)).as("cnt"))
+    val sparkDf = family.filter(col("u") > 0).agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(sparkDf,
-      "SELECT count(*) AS cnt FROM lineitem WHERE CAST(l_discount AS DOUBLE) > 0.05",
-      "lineitem" -> li)
+      "SELECT count(*) AS cnt FROM family WHERE CAST(u AS INTEGER) > 0",
+      "family" -> family)
   }
 
   test("join aggregation matches DuckDB") {
-    val sparkDf = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
-      .groupBy("o_orderstatus")
+    val sparkDf = family.join(cards, family("i") === cards("variable"))
+      .groupBy("card")
       .agg(count(lit(1)).as("cnt"))
-      .select("o_orderstatus", "cnt")
+      .select("card", "cnt")
     Oracle.assertEquivalent(sparkDf,
-      """SELECT o_orderstatus, count(*) AS cnt
-        |FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        |GROUP BY o_orderstatus""".stripMargin,
-      "lineitem" -> li, "orders" -> ord)
+      """SELECT card, count(*) AS cnt
+        |FROM family JOIN cards ON i = variable
+        |GROUP BY card""".stripMargin,
+      "family" -> family, "cards" -> cards)
   }
 
   test("oracle rejects a wrong result") {
-    val wrong = li.agg((count(lit(1)) + 1).as("cnt"))
+    val wrong = family.agg((count(lit(1)) + 1).as("cnt"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM family", "family" -> family)
     }
   }
 
   test("oracle rejects mismatched column sets") {
-    val sparkDf = li.agg(count(lit(1)).as("wrong_name"))
+    val sparkDf = family.agg(count(lit(1)).as("wrong_name"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(sparkDf, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(sparkDf, "SELECT count(*) AS cnt FROM family", "family" -> family)
     }
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, seed = 3L)
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000, seed = 4L)
-    val zTop = z.groupBy("k").count().orderBy(desc("count")).first().getLong(1)
-    val uTop = u.groupBy("k").count().orderBy(desc("count")).first().getLong(1)
-    assert(zTop > 5 * uTop, s"zipf top $zTop vs uniform top $uTop")
   }
 }

@@ -81,7 +81,8 @@ class PropertySpec extends AnyFunSuite with CheckProp {
       val jk = (0 until net.n).map(i => net.card(i).toDouble * net.parentCard(i))
       val costNon = (0 until net.n).map(i => jk(i) / non.nu(i)).sum
       val costUni = (0 until net.n).map(i => jk(i) / uni.nu(i)).sum
-      costNon <= costUni * (1 + 1e-9)
+      costNon <= costUni * (1 + 1e-9) &&
+        EpsilonAllocation.modelRatio(net.card, net.parentCard) <= 1 + 1e-9
     }, tests = 40)
   }
 

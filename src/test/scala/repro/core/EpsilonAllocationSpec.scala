@@ -52,6 +52,7 @@ class EpsilonAllocationSpec extends AnyFunSuite {
     val nu = EpsilonAllocation.NonUniform(eps, cards, parents)
     val un = EpsilonAllocation.Uniform(eps, 16)
     (0 until 16).foreach(i => assert(math.abs(nu.nu(i) - un.nu(i)) < 1e-15))
+    assert(math.abs(EpsilonAllocation.modelRatio(cards, parents) - 1.0) < 1e-12)
   }
 
   test("nonuniform is the cost optimum among budget-feasible allocations") {

@@ -2,6 +2,7 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.bn.TestNets
+import repro.counter.CounterLayout
 
 class TablesSpec extends SparkSpec {
 
@@ -46,6 +47,21 @@ class TablesSpec extends SparkSpec {
 
   test("apply throws on unknown algorithm names") {
     intercept[NoSuchElementException](result("nope"))
+  }
+
+  test("messageSweep: exact is analytic, approximate series are monotone and snapshot-free") {
+    val net = TestNets.random20
+    val ms = Seq(1000L, 3000L, 6000L)
+    val sweep = Tables.messageSweep(net, ms, k = 5, eps = 0.5, seed = 3L)
+    assert(sweep.map(_._1) == Tables.algoNames)
+    val exact = sweep.head._2
+    assert(exact == ms.map(CounterLayout.standard(net).updatesPerEvent * _))
+    val lastOnly = Tables.messageSweep(net, Seq(ms.last), k = 5, eps = 0.5, seed = 3L).toMap
+    for ((algo, msgs) <- sweep.tail) {
+      assert(msgs.zip(msgs.tail).forall { case (a, b) => a <= b }, s"$algo $msgs")
+      assert(msgs.zip(exact).forall { case (a, e) => a <= e }, s"$algo $msgs vs $exact")
+      assert(msgs.last == lastOnly(algo).head, algo)
+    }
   }
 
   test("render produces an aligned table with all cells") {
