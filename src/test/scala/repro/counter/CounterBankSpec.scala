@@ -68,6 +68,33 @@ class CoordinatorSpec extends AnyFunSuite {
     assert(math.abs(co.pFor(0) - 0.04) < 1e-12)
   }
 
+  test("one contribution per slot gives the same bits as the last-report and 1/p formula") {
+    val rnd = new scala.util.Random(7L)
+    for (trial <- 0 until 20) {
+      val (c, k) = (1 + rnd.nextInt(4), 1 + rnd.nextInt(5))
+      val co = coord(c, k)
+      // Reference: the last reported count and its 1/p per (site, counter).
+      val lastRep = new Array[Int](k * c)
+      val invP = new Array[Double](k * c)
+      val est = new Array[Double](c)
+      for (_ <- 0 until 500) {
+        val (site, counter) = (rnd.nextInt(k), rnd.nextInt(c))
+        val j = site * c + counter
+        val localCount = lastRep(j) + 1 + rnd.nextInt(3) // slots report again and again
+        val invPUsed = if (rnd.nextInt(3) == 0) 1.0 else 1.0 / (0.001 + 0.999 * rnd.nextDouble())
+        val before = if (invP(j) == 0.0) 0.0 else lastRep(j) + invP(j) - 1.0
+        lastRep(j) = localCount
+        invP(j) = invPUsed
+        est(counter) += (localCount + invPUsed - 1.0) - before
+        co.receive(site, counter, localCount, invPUsed)
+      }
+      for (i <- 0 until c)
+        assert(java.lang.Double.doubleToRawLongBits(co.estimate(i)) ==
+          java.lang.Double.doubleToRawLongBits(est(i)), s"trial $trial counter $i")
+      assert(co.messages == 500L)
+    }
+  }
+
   test("rejects non-positive error parameters") {
     intercept[IllegalArgumentException](new Coordinator(1, 2, Array(0.0), 1.0))
   }
